@@ -1,0 +1,9 @@
+"""Put the repository root on ``sys.path`` so ``import wirebench`` works
+however pytest is started."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+if ROOT not in sys.path:
+    sys.path.insert(0, ROOT)
