@@ -10,8 +10,7 @@ Three series, each isolating one layer of the PR-3 read-path overhaul:
   motivating workload) under snapshot isolation with the snapshot-local
   adjacency/payload caches on vs. off.
 * ``query_mix`` — the E10 declarative query mix (4 readers / 4 writers)
-  under snapshot isolation (plan cache on and off) and read committed
-  (eager read-unlock on and off — the RC satellite's before/after).
+  under snapshot isolation (plan cache on and off) and read committed.
 
 When the repository's committed ``BENCH_e10_query_throughput.json`` is
 present, the SI cell is also reported as a ratio over that file's
@@ -283,11 +282,7 @@ def run_benchmark(*, seconds: float = 4.0, readers: int = READERS,
     cells = [
         ("si_full", dict(isolation=IsolationLevel.SNAPSHOT)),
         ("si_no_plan_cache", dict(isolation=IsolationLevel.SNAPSHOT, query_cache_size=0)),
-        ("rc_eager_unlock", dict(isolation=IsolationLevel.READ_COMMITTED)),
-        (
-            "rc_legacy_locks",
-            dict(isolation=IsolationLevel.READ_COMMITTED, rc_eager_read_unlock=False),
-        ),
+        ("rc", dict(isolation=IsolationLevel.READ_COMMITTED)),
     ]
     mix_rows: List[Dict[str, object]] = []
     for label, options in cells:
@@ -350,8 +345,7 @@ def test_e11_read_path(tmp_path):
     assert "ww-conflict" in cells["si_full"]["abort_reasons"]
     assert cells["si_full"]["plan_cache"]["hits"] > 0
     assert cells["si_no_plan_cache"]["plan_cache"]["size"] == 0
-    assert cells["rc_eager_unlock"]["queries"] > 0
-    assert cells["rc_legacy_locks"]["queries"] > 0
+    assert cells["rc"]["queries"] > 0
 
 
 if __name__ == "__main__":

@@ -86,7 +86,6 @@ class EngineRuntime:
         query_batch_size: int = 1024,
         morsel_workers: int = 0,
         morsel_threshold: int = 2048,
-        rc_eager_read_unlock: bool = True,
         safe_snapshots: bool = True,
         defer_readonly: bool = False,
         tracing: bool = False,
@@ -162,7 +161,10 @@ class EngineRuntime:
             self.engine = ReadCommittedEngine(
                 self.store,
                 lock_manager=locks,
-                eager_read_unlock=rc_eager_read_unlock,
+                # One knob sizes the decoded-object cache at every level: the
+                # version chains under MVCC, the entity and adjacency caches
+                # under read committed.
+                cache_capacity=version_cache_capacity,
                 query_cache_size=query_cache_size,
                 obs=self.observability,
             )
@@ -218,6 +220,7 @@ class EngineRuntime:
                 "concurrency_control": self.engine.cc.statistics(),
                 "cardinalities": self.engine.cardinalities(),
             }
+            stats["object_cache"] = self.engine.cache_statistics()
             stats["locks"] = self.engine.locks.stats.as_dict()
         return stats
 

@@ -210,6 +210,10 @@ class SnapshotTransaction(EngineTransaction):
                 handle.record.read_keys.update(keys)
             else:
                 for key in keys:
+                    # The first observation can find the handle safe and
+                    # unhook the reader; the rest of the batch is then free.
+                    if self._pending_reader is None:
+                        break
                     self._observe_pending_read(key, None)
         cache = self._payload_cache
         start_ts = self.snapshot.start_ts
@@ -467,6 +471,8 @@ class SnapshotTransaction(EngineTransaction):
                 handle.record.predicates.update(predicates)
             else:
                 for predicate in predicates:
+                    if self._pending_reader is None:
+                        break
                     self._observe_pending_read(None, predicate)
         cache = self._adjacency_cache
         untracked = not self._track_reads and self._pending_reader is None

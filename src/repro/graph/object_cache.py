@@ -10,6 +10,13 @@ Entries can be *pinned* against eviction.  The MVCC layer pins every entry
 whose chain still holds more than the single persisted version, because those
 in-memory versions are the only copy (the store only ever has the newest
 committed version).
+
+Under read committed each engine owns one instance (plus a second one for
+per-node adjacency), holding decoded committed entities.  An entry is filled
+only by a reader holding the entity's shared lock, and a commit drops the
+keys it wrote before releasing its exclusive locks, so the cache never holds
+a value older than the one a reader could lock (see
+:mod:`repro.locking.rc_manager`).
 """
 
 from __future__ import annotations
@@ -178,15 +185,21 @@ class ObjectCache:
     # -- internal -------------------------------------------------------------
 
     def _evict_if_needed(self) -> None:
-        if len(self._entries) <= self._capacity:
+        excess = len(self._entries) - self._capacity
+        if excess <= 0:
             return
-        for key in list(self._entries.keys()):
-            if len(self._entries) <= self._capacity:
+        # Walk from the least recently used end only as far as needed: a
+        # full cache evicts on every insert, so copying the whole key list
+        # here would make each insert O(capacity).
+        victims = []
+        for key, value in self._entries.items():
+            if len(victims) == excess:
                 break
             if key in self._pinned:
                 continue
-            value = self._entries[key]
             if self._evictable is not None and not self._evictable(key, value):
                 continue
+            victims.append(key)
+        for key in victims:
             del self._entries[key]
-            self.stats.evictions += 1
+        self.stats.evictions += len(victims)

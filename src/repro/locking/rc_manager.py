@@ -3,16 +3,31 @@
 Commits apply the transaction's buffered writes to the store in one batch and
 update the (unversioned) indexes; there is no validation phase because read
 committed permits the anomalies that validation would prevent.
+
+Like Neo4j's baseline, reads go through an object cache of decoded committed
+entities (plus a per-node adjacency cache) instead of decoding records from
+pages every time.  Coherence rides on the locks the level already takes:
+
+* an entity is filled only by a reader holding its shared lock, so no commit
+  of that entity can interleave with the fill;
+* a commit invalidates every key it wrote (and the adjacency of every node
+  it touched) after applying to the store and *before* releasing its
+  exclusive locks — so once a reader can lock the key again, the stale entry
+  is gone;
+* adjacency is read without entity locks, so its fills are validated against
+  an epoch the commit path bumps under the same small lock that invalidates.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.engine import GraphEngine, IsolationLevel
-from repro.graph.entity import EntityKind, NodeData, RelationshipData
+from repro.errors import NodeNotFoundError
+from repro.graph.entity import EntityKey, EntityKind, NodeData, RelationshipData
+from repro.graph.object_cache import ObjectCache
 from repro.graph.store_manager import StoreManager
 from repro.index.index_manager import IndexManager
 from repro.locking.lock_manager import LockManager
@@ -36,15 +51,12 @@ class ReadCommittedEngine(GraphEngine):
         lock_manager: Optional[LockManager] = None,
         index_manager: Optional[IndexManager] = None,
         lock_timeout: Optional[float] = None,
-        eager_read_unlock: bool = True,
+        cache_capacity: int = 200_000,
         query_cache_size: int = DEFAULT_QUERY_CACHE_SIZE,
         obs: Optional[Observability] = None,
     ) -> None:
-        """``eager_read_unlock`` routes point reads through the lock manager's
-        short shared guard — one lock-table visit instead of two, no holder
-        bookkeeping, and no risk of a short read dropping a long lock the
-        transaction retains.  ``False`` restores the seed's acquire/release
-        pair (bench_e11 measures the difference).
+        """``cache_capacity`` bounds both the entity cache and the adjacency
+        cache (entries each; the database passes ``version_cache_capacity``).
         """
         self.store = store
         self.locks = lock_manager or (
@@ -60,7 +72,12 @@ class ReadCommittedEngine(GraphEngine):
             # A caller-supplied index manager without an epoch still has to
             # drive plan-cache invalidation: adopt it into ours.
             self.indexes.stats_epoch = self.stats_epoch
-        self.eager_read_unlock = eager_read_unlock
+        #: Decoded committed entities (EntityKey -> NodeData/RelationshipData).
+        self.cache = ObjectCache(cache_capacity)
+        #: Committed relationship ids per node id (sorted tuples).
+        self.adjacency_cache = ObjectCache(cache_capacity)
+        self._adjacency_epoch = 0
+        self._invalidation_lock = threading.Lock()
         self.query_caches = QueryCaches(query_cache_size)
         # Concurrency control as a policy object, mirroring the MVCC engine:
         # under two-phase locking every conflict the level prevents is
@@ -112,7 +129,12 @@ class ReadCommittedEngine(GraphEngine):
                     trace.mark("stripe_wait")  # the 2PL engine's one "stripe"
                 old_states = self._capture_old_states(writes)
                 operations = txn.build_store_operations()
-                self.store.apply_batch(txn.txn_id, operations)
+                try:
+                    self.store.apply_batch(txn.txn_id, operations)
+                finally:
+                    # Still under this transaction's exclusive locks, and
+                    # also when the apply failed part-way (degraded mode).
+                    self._invalidate(writes, old_states)
                 self._update_indexes(writes, old_states)
             if trace is not None:
                 trace.mark("wal")
@@ -137,6 +159,61 @@ class ReadCommittedEngine(GraphEngine):
             txn.trace = None
             trace.finish("aborted", reason)
             self.obs.tracer.record(trace)
+
+    # -- committed reads through the caches ---------------------------------
+
+    def read_committed(self, key: EntityKey):
+        """The committed state of ``key`` (``None`` if absent).
+
+        The caller must hold a lock on ``key`` (the shared read guard, or an
+        exclusive lock it retains): that is what makes the fill safe.
+        """
+        cache = self.cache
+        cached = cache.peek(key)
+        if cached is not None:
+            return cached
+        cached = cache.get(key)  # records the miss (or a racing fill's hit)
+        if cached is not None:
+            return cached
+        if key.kind is EntityKind.NODE:
+            value = self.store.read_node(key.entity_id)
+        else:
+            value = self.store.read_relationship(key.entity_id)
+        if value is not None:
+            cache.put(key, value)
+        return value
+
+    def committed_adjacency(self, node_id: int) -> Tuple[int, ...]:
+        """Sorted ids of the committed relationships attached to ``node_id``.
+
+        Read without entity locks, so a fill is kept only if no commit
+        invalidated adjacency while the store was being walked.
+        """
+        adjacency = self.adjacency_cache
+        cached = adjacency.peek(node_id)
+        if cached is not None:
+            return cached
+        cached = adjacency.get(node_id)  # records the miss
+        if cached is not None:
+            return cached
+        epoch = self._adjacency_epoch
+        try:
+            rel_ids = tuple(sorted(self.store.node_relationship_ids(node_id)))
+        except NodeNotFoundError:
+            rel_ids = ()
+        with self._invalidation_lock:
+            if self._adjacency_epoch == epoch:
+                adjacency.put(node_id, rel_ids)
+        return rel_ids
+
+    def cache_statistics(self) -> Dict[str, float]:
+        """Entity-cache counters plus the adjacency cache's hits and misses."""
+        adjacency = self.adjacency_cache.stats
+        return dict(
+            self.cache.stats.as_dict(),
+            adjacency_hits=adjacency.hits,
+            adjacency_misses=adjacency.misses,
+        )
 
     # -- cardinality fast paths (query planner estimates) ---------------------
 
@@ -189,13 +266,32 @@ class ReadCommittedEngine(GraphEngine):
     # -- internal -----------------------------------------------------------------
 
     def _capture_old_states(self, writes) -> Dict:
-        old_states: Dict = {}
-        for key in writes:
+        # The committer holds every written key exclusively: a safe fill.
+        return {key: self.read_committed(key) for key in writes}
+
+    def _invalidate(self, writes, old_states) -> None:
+        """Drop the cached state of every written key and the adjacency of
+        every node the commit touched (created or deleted nodes, and both
+        endpoints of each created or deleted relationship).  Property-only
+        updates leave relationship chains, and so adjacency, unchanged."""
+        touched_nodes = set()
+        for key, new_state in writes.items():
+            old_state = old_states.get(key)
+            if old_state is not None and new_state is not None:
+                continue
             if key.kind is EntityKind.NODE:
-                old_states[key] = self.store.read_node(key.entity_id)
-            else:
-                old_states[key] = self.store.read_relationship(key.entity_id)
-        return old_states
+                touched_nodes.add(key.entity_id)
+                continue
+            for state in (old_state, new_state):
+                if state is not None:
+                    touched_nodes.add(state.start_node)
+                    touched_nodes.add(state.end_node)
+        with self._invalidation_lock:
+            self._adjacency_epoch += 1
+            for key in writes:
+                self.cache.invalidate(key)
+            for node_id in touched_nodes:
+                self.adjacency_cache.invalidate(node_id)
 
     def _update_indexes(self, writes, old_states) -> None:
         for key, new_state in writes.items():

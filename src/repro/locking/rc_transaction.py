@@ -7,6 +7,10 @@ transaction has read, two reads of the same entity inside one transaction can
 observe different committed values (unrepeatable reads) and repeated predicate
 scans can observe different result sets (phantom reads).  The anomaly
 experiments E1 and E2 measure exactly this.
+
+Committed state is served from the engine's object cache (see
+:mod:`repro.locking.rc_manager` for the coherence rules): point reads fill
+it inside their shared guard, lock-free scans only probe it.
 """
 
 from __future__ import annotations
@@ -52,36 +56,29 @@ class ReadCommittedTransaction(EngineTransaction):
         key = EntityKey.node(node_id)
         if key in self._writes:
             return self._writes[key]  # type: ignore[return-value]
-        return self._locked_read(key, lambda: self._engine.store.read_node(node_id))
+        return self._locked_read(key)
 
     def read_relationship(self, rel_id: int) -> Optional[RelationshipData]:
         self.ensure_open()
         key = EntityKey.relationship(rel_id)
         if key in self._writes:
             return self._writes[key]  # type: ignore[return-value]
-        return self._locked_read(
-            key, lambda: self._engine.store.read_relationship(rel_id)
-        )
+        return self._locked_read(key)
 
-    def _locked_read(self, key: EntityKey, reader):
-        """Perform one read under a *short* shared lock (released immediately).
+    def _locked_read(self, key: EntityKey):
+        """Read committed state under a *short* shared lock.
 
-        With the engine's ``eager_read_unlock`` (the default) the lock lives
-        inside :meth:`LockManager.shared_guard`: one lock-table visit, no
-        holder bookkeeping, release before the statement returns, and a read
-        of an entity the transaction already write-locked (e.g. an endpoint
-        node of a created relationship) piggybacks instead of — as the
-        legacy pair did — dropping the retained exclusive lock.
+        The lock lives inside :meth:`LockManager.shared_guard`: one
+        lock-table visit, no holder bookkeeping, release before the
+        statement returns, and a read of an entity the transaction already
+        write-locked (e.g. an endpoint node of a created relationship)
+        piggybacks instead of dropping the retained exclusive lock.  A cache
+        miss is decoded and filled inside the guard, where no commit of
+        ``key`` can interleave.
         """
-        locks = self._engine.locks
-        if getattr(self._engine, "eager_read_unlock", False):
-            with locks.shared_guard(self.txn_id, key):
-                return reader()
-        locks.acquire(self.txn_id, key, LockMode.SHARED)
-        try:
-            return reader()
-        finally:
-            locks.release(self.txn_id, key)
+        engine = self._engine
+        with engine.locks.shared_guard(self.txn_id, key):
+            return engine.read_committed(key)
 
     def iter_nodes(self) -> Iterator[NodeData]:
         self.ensure_open()
@@ -91,8 +88,16 @@ class ReadCommittedTransaction(EngineTransaction):
                 seen.add(key.entity_id)
                 if value is not None:
                     yield value  # type: ignore[misc]
-        for node in self._engine.store.iter_nodes():
-            if node.node_id not in seen:
+        # Lock-free: probe the cache, never fill it (no lock excludes commits).
+        cache = self._engine.cache
+        store = self._engine.store
+        for node_id in store.iter_node_ids():
+            if node_id in seen:
+                continue
+            node = cache.peek(EntityKey.node(node_id))
+            if node is None:
+                node = store.read_node(node_id)
+            if node is not None:
                 yield node
 
     def iter_relationships(self) -> Iterator[RelationshipData]:
@@ -103,8 +108,15 @@ class ReadCommittedTransaction(EngineTransaction):
                 seen.add(key.entity_id)
                 if value is not None:
                     yield value  # type: ignore[misc]
-        for relationship in self._engine.store.iter_relationships():
-            if relationship.rel_id not in seen:
+        cache = self._engine.cache
+        store = self._engine.store
+        for rel_id in store.iter_relationship_ids():
+            if rel_id in seen:
+                continue
+            relationship = cache.peek(EntityKey.relationship(rel_id))
+            if relationship is None:
+                relationship = store.read_relationship(rel_id)
+            if relationship is not None:
                 yield relationship
 
     def find_nodes_by_label(self, label: str) -> Set[int]:
@@ -160,17 +172,19 @@ class ReadCommittedTransaction(EngineTransaction):
         rel_types: Optional[Sequence[str]] = None,
     ) -> List[RelationshipData]:
         self.ensure_open()
-        store = self._engine.store
-        candidate_ids: Set[int] = set()
-        if store.node_exists(node_id):
-            candidate_ids.update(store.node_relationship_ids(node_id))
-        for entity_key, data in self._writes.items():
-            if entity_key.kind is EntityKind.RELATIONSHIP and data is not None:
-                if data.touches(node_id):
-                    candidate_ids.add(entity_key.entity_id)
+        candidate_ids: Sequence[int] = self._engine.committed_adjacency(node_id)
+        own_ids = [
+            entity_key.entity_id
+            for entity_key, data in self._writes.items()
+            if entity_key.kind is EntityKind.RELATIONSHIP
+            and data is not None
+            and data.touches(node_id)
+        ]
+        if own_ids:
+            candidate_ids = sorted(set(candidate_ids).union(own_ids))
         wanted_types = set(rel_types) if rel_types else None
         result: List[RelationshipData] = []
-        for rel_id in sorted(candidate_ids):
+        for rel_id in candidate_ids:
             relationship = self.read_relationship(rel_id)
             if relationship is None:
                 continue
@@ -223,7 +237,7 @@ class ReadCommittedTransaction(EngineTransaction):
         locks.acquire(self.txn_id, key, LockMode.EXCLUSIVE)
         existing = self._writes.get(key)
         if existing is None:
-            existing = self._engine.store.read_relationship(rel_id)
+            existing = self._engine.read_committed(key)  # held exclusively
         if existing is not None:
             locks.acquire(self.txn_id, EntityKey.node(existing.start_node), LockMode.EXCLUSIVE)
             locks.acquire(self.txn_id, EntityKey.node(existing.end_node), LockMode.EXCLUSIVE)

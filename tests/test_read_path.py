@@ -4,7 +4,7 @@ Covers the copy-on-write version chains (reads succeed while the write lock
 is held — the paper's "readers never block" taken literally), GC racing the
 new chains, the snapshot-local adjacency/payload caches, the stats-epoch
 plan cache, the configurable parse cache, token interning and the
-read-committed eager-unlock guard.
+read-committed shared read guard.
 """
 
 import threading
@@ -439,21 +439,12 @@ class TestRcEagerReadUnlock:
         tx.rollback()
         db.close()
 
-    def test_shared_guard_releases_on_exit_and_legacy_mode_still_works(self):
+    def test_shared_guard_releases_on_exit(self):
         manager = LockManager()
         key = EntityKey.node(7)
         with manager.shared_guard(1, key):
             assert manager.holders_of(key) == {1: LockMode.SHARED}
         assert manager.holders_of(key) == {}
-
-        db = GraphDatabase.in_memory(
-            isolation=IsolationLevel.READ_COMMITTED, rc_eager_read_unlock=False
-        )
-        with db.transaction() as tx:
-            node = tx.create_node(["P"], {"name": "legacy"})
-        with db.transaction(read_only=True) as tx:
-            assert tx.get_node(node.id).get("name") == "legacy"
-        db.close()
 
     def test_shared_guard_blocks_behind_exclusive_writer(self):
         manager = LockManager()

@@ -463,3 +463,54 @@ class TestSafeSnapshotMechanics:
 
     def test_unsafe_snapshot_error_is_retryable(self):
         assert issubclass(UnsafeSnapshotError, SerializationError)
+
+
+class TestPendingReaderBecomesSafeMidBatch:
+    """A pending reader whose handle turns safe between its label scan and
+    the batched resolve that follows it (the vectorized executor's shape).
+
+    The first key of the batch observes the safe handle and unhooks the
+    reader; the rest of the batch must not touch the dropped handle.
+    """
+
+    @pytest.mark.parametrize("batch_read", ["nodes", "adjacency"])
+    def test_writer_commits_between_label_scan_and_batch_resolve(self, batch_read):
+        db = GraphDatabase.in_memory(isolation=IsolationLevel.SERIALIZABLE)
+        x, y = _make_accounts(db)
+        with db.transaction() as tx:
+            tx.create_relationship(x, y, "LINKED")
+        seen = {}
+
+        def writer(ctx):
+            ctx.write(x, "balance", 5)
+            yield "wrote"
+
+        def audit(ctx):
+            engine_txn = ctx.tx.engine_transaction
+            ids = sorted(engine_txn.find_nodes_by_label("Account"))
+            yield "scanned"
+            if batch_read == "nodes":
+                nodes = engine_txn.read_nodes_many(ids)
+                seen["balances"] = [node.properties["balance"] for node in nodes]
+            else:
+                lists = engine_txn.relationships_of_many(ids)
+                seen["degrees"] = [len(rels) for rels in lists]
+
+        stepper = Stepper(db)
+        stepper.add("writer", writer)
+        stepper.add("audit", audit, read_only=True)
+        outcomes = stepper.run([
+            ("writer", "wrote"),      # read-write txn in flight: audit is pending
+            ("audit", "scanned"),     # label-scan predicate buffered while pending
+            ("writer", COMMITTED),    # census drains cleanly: handle turns safe
+            ("audit", COMMITTED),     # batched resolve over the safe handle
+        ])
+        assert outcomes == {"writer": COMMITTED, "audit": COMMITTED}
+        if batch_read == "nodes":
+            assert seen["balances"] == [0, 0]  # the audit's snapshot predates the write
+        else:
+            assert seen["degrees"] == [1, 1]
+        safe = db.statistics()["safe_snapshots"]
+        assert safe["became_safe"] == 1
+        assert safe["upgrades"] == 0
+        db.close()
