@@ -10,6 +10,13 @@ This reproduces the locking layer the paper describes Neo4j as having:
   long exclusive write locks but acquires them with
   :meth:`LockManager.try_acquire` (no waiting) to implement the
   first-updater-wins write rule.
+* Read committed's batch reads (:meth:`LockManager.probe_shared_many`) visit
+  the lock table once per chunk of keys: under the table's mutex, a key no
+  other transaction holds exclusively is probed in the object cache.  That
+  is equivalent to taking and dropping its shared lock, because no writer
+  can be granted an exclusive lock while the mutex is held and a commit
+  drops its keys from the cache before it releases its locks.  A cache
+  miss or a contended key is left to the per-key :meth:`shared_guard`.
 
 Deadlocks are prevented by refusing to wait when doing so would close a cycle
 in the wait-for graph, and bounded by a timeout as a backstop.
@@ -22,7 +29,7 @@ import enum
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.errors import DeadlockError, LockTimeoutError
 from repro.graph.entity import EntityKey
@@ -30,6 +37,11 @@ from repro.locking.deadlock import WaitForGraph
 
 #: Default maximum time to wait for a lock before giving up, in seconds.
 DEFAULT_LOCK_TIMEOUT = 10.0
+
+#: Keys probed per hold of the lock-table mutex in
+#: :meth:`LockManager.probe_shared_many`, so a writer's exclusive request
+#: never waits behind a whole large expansion.
+PROBE_CHUNK = 256
 
 
 class LockMode(enum.Enum):
@@ -115,7 +127,9 @@ class LockManager:
         deadline = time.monotonic() + (timeout if timeout is not None else self._default_timeout)
         with self._mutex:
             self.stats.acquisitions += 1
-            entry = self._entries.setdefault(resource, _LockEntry())
+            entry = self._entries.get(resource)
+            if entry is None:  # get-then-insert: no throwaway entry per call
+                entry = self._entries[resource] = _LockEntry()
             first_attempt = True
             while True:
                 conflicting = entry.conflicts_with(txn_id, mode)
@@ -179,7 +193,9 @@ class LockManager:
         newly_acquired = False
         with self._mutex:
             self.stats.acquisitions += 1
-            entry = self._entries.setdefault(resource, _LockEntry())
+            entry = self._entries.get(resource)
+            if entry is None:  # get-then-insert: no throwaway entry per call
+                entry = self._entries[resource] = _LockEntry()
             if txn_id in entry.holders:
                 self.stats.immediate_grants += 1
             else:
@@ -229,7 +245,59 @@ class LockManager:
                         had_waiters = current.waiter_count > 0
                         self._cleanup_entry(resource, current)
                         if had_waiters:
+                            # The waiters' edges to this reader went stale
+                            # with the release; left in place, they would
+                            # make its next wait look like a cycle.  A
+                            # waiter still blocked by another lock of this
+                            # transaction re-adds its edge when it next
+                            # wakes (within 0.1 s).
+                            self._wait_for.remove_transaction(txn_id)
                             self._released.notify_all()
+
+    def probe_shared_many(
+        self,
+        txn_id: int,
+        keys: Sequence[EntityKey],
+        probe: Callable[[EntityKey], Optional[object]],
+        missing: object = None,
+    ) -> List[object]:
+        """``probe(key)`` for each key, as if under a short shared lock.
+
+        Holds the lock-table mutex for at most :data:`PROBE_CHUNK` keys at a
+        time.  A key no other transaction holds exclusively is probed in
+        place: while the mutex is held no exclusive lock can be granted, so
+        the probe sees the state a shared lock would have protected.  A key
+        another transaction holds exclusively, and a key whose probe returns
+        ``None``, yields ``missing``; the caller reads it through
+        :meth:`shared_guard`, which waits (deadlock-checked) and may fill
+        caches.  This method never waits, never registers a holder, and
+        must be given a probe that only reads — it runs under the mutex.
+        Each key served counts as one immediately granted acquisition.
+        """
+        entries = self._entries
+        results: List[object] = []
+        append = results.append
+        stats = self.stats
+        for start in range(0, len(keys), PROBE_CHUNK):
+            granted = 0
+            with self._mutex:
+                for key in keys[start:start + PROBE_CHUNK]:
+                    entry = entries.get(key)
+                    if entry is not None and any(
+                        mode is LockMode.EXCLUSIVE and holder != txn_id
+                        for holder, mode in entry.holders.items()
+                    ):
+                        append(missing)
+                        continue
+                    value = probe(key)
+                    if value is None:
+                        append(missing)
+                    else:
+                        append(value)
+                        granted += 1
+                stats.acquisitions += granted
+                stats.immediate_grants += granted
+        return results
 
     def try_acquire(self, txn_id: int, resource: EntityKey, mode: LockMode) -> bool:
         """Acquire a lock without waiting; returns ``False`` on conflict.
@@ -241,7 +309,9 @@ class LockManager:
         """
         with self._mutex:
             self.stats.acquisitions += 1
-            entry = self._entries.setdefault(resource, _LockEntry())
+            entry = self._entries.get(resource)
+            if entry is None:  # get-then-insert: no throwaway entry per call
+                entry = self._entries[resource] = _LockEntry()
             if entry.conflicts_with(txn_id, mode):
                 self.stats.try_failures += 1
                 return False

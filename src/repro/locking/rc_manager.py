@@ -14,6 +14,11 @@ pages every time.  Coherence rides on the locks the level already takes:
   it touched) after applying to the store and *before* releasing its
   exclusive locks — so once a reader can lock the key again, the stale entry
   is gone;
+* a batch read probes the cache under the lock table's mutex, one chunk of
+  keys at a time, and takes only entries of keys no other transaction holds
+  exclusively — as good as a shared lock, since no exclusive lock can be
+  granted meanwhile; it never fills, leaving misses and write-locked keys
+  to the per-key shared guard;
 * adjacency is read without entity locks, so its fills are validated against
   an epoch the commit path bumps under the same small lock that invalidates.
 """

@@ -10,11 +10,15 @@ experiments E1 and E2 measure exactly this.
 
 Committed state is served from the engine's object cache (see
 :mod:`repro.locking.rc_manager` for the coherence rules): point reads fill
-it inside their shared guard, lock-free scans only probe it.
+it inside their shared guard, lock-free scans only probe it, and batch reads
+(``read_nodes_many``, ``read_relationships_many``, ``relationships_of_many``)
+probe it for a whole chunk of keys in one lock-table visit, falling back to
+the point-read guard for each miss or key another transaction write-locked.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.engine import EngineTransaction, TransactionState
@@ -29,6 +33,10 @@ from repro.graph.operations import (
 )
 from repro.graph.properties import PropertyValue
 from repro.locking.lock_manager import LockMode
+
+#: Marks a key the batch probe left unserved (a cache miss, or a key another
+#: transaction holds exclusively).
+_UNSERVED = object()
 
 
 class ReadCommittedTransaction(EngineTransaction):
@@ -64,6 +72,39 @@ class ReadCommittedTransaction(EngineTransaction):
         if key in self._writes:
             return self._writes[key]  # type: ignore[return-value]
         return self._locked_read(key)
+
+    def read_nodes_many(self, node_ids: Sequence[int]) -> List[Optional[NodeData]]:
+        self.ensure_open()
+        return self._read_many([EntityKey.node(node_id) for node_id in node_ids])
+
+    def read_relationships_many(
+        self, rel_ids: Sequence[int]
+    ) -> List[Optional[RelationshipData]]:
+        self.ensure_open()
+        return self._read_many([EntityKey.relationship(rel_id) for rel_id in rel_ids])
+
+    def _read_many(self, keys: List[EntityKey]) -> list:
+        """Own writes first; committed state through one lock-table visit per
+        chunk of keys (:meth:`LockManager.probe_shared_many`).
+
+        The probe only reads the cache.  A miss, or a key another
+        transaction holds exclusively, goes through :meth:`_locked_read`, so
+        the cache is filled only under the shared lock and a blocked read
+        waits and is deadlock-checked exactly like a point read.
+        """
+        writes = self._writes
+        committed = [key for key in keys if key not in writes] if writes else keys
+        engine = self._engine
+        values = engine.locks.probe_shared_many(
+            self.txn_id, committed, engine.cache.peek, _UNSERVED
+        )
+        for index, value in enumerate(values):
+            if value is _UNSERVED:
+                values[index] = self._locked_read(committed[index])
+        if not writes:
+            return values
+        resolved = iter(values)
+        return [writes[key] if key in writes else next(resolved) for key in keys]
 
     def _locked_read(self, key: EntityKey):
         """Read committed state under a *short* shared lock.
@@ -171,29 +212,53 @@ class ReadCommittedTransaction(EngineTransaction):
         direction: Direction = Direction.BOTH,
         rel_types: Optional[Sequence[str]] = None,
     ) -> List[RelationshipData]:
+        return self.relationships_of_many([node_id], direction, rel_types)[0]
+
+    def relationships_of_many(
+        self,
+        node_ids: Sequence[int],
+        direction: Direction = Direction.BOTH,
+        rel_types: Optional[Sequence[str]] = None,
+    ) -> List[List[RelationshipData]]:
+        """Committed adjacency plus this transaction's own relationships,
+        with every candidate id resolved in one batch read."""
         self.ensure_open()
-        candidate_ids: Sequence[int] = self._engine.committed_adjacency(node_id)
-        own_ids = [
-            entity_key.entity_id
-            for entity_key, data in self._writes.items()
-            if entity_key.kind is EntityKind.RELATIONSHIP
-            and data is not None
-            and data.touches(node_id)
-        ]
-        if own_ids:
-            candidate_ids = sorted(set(candidate_ids).union(own_ids))
+        committed_adjacency = self._engine.committed_adjacency
+        own = self._own_relationships_by_node()
+        candidates: List[Sequence[int]] = []
+        for node_id in node_ids:
+            rel_ids: Sequence[int] = committed_adjacency(node_id)
+            own_ids = own.get(node_id)
+            if own_ids:
+                rel_ids = sorted(set(rel_ids).union(own_ids))
+            candidates.append(rel_ids)
+        distinct = list(dict.fromkeys(itertools.chain.from_iterable(candidates)))
+        resolved = dict(zip(distinct, self.read_relationships_many(distinct)))
         wanted_types = set(rel_types) if rel_types else None
-        result: List[RelationshipData] = []
-        for rel_id in candidate_ids:
-            relationship = self.read_relationship(rel_id)
-            if relationship is None:
-                continue
-            if not direction.matches(node_id, relationship.start_node, relationship.end_node):
-                continue
-            if wanted_types is not None and relationship.rel_type not in wanted_types:
-                continue
-            result.append(relationship)
-        return result
+        results: List[List[RelationshipData]] = []
+        for node_id, rel_ids in zip(node_ids, candidates):
+            matches: List[RelationshipData] = []
+            for rel_id in rel_ids:
+                relationship = resolved[rel_id]
+                if relationship is None:
+                    continue
+                if not direction.matches(node_id, relationship.start_node, relationship.end_node):
+                    continue
+                if wanted_types is not None and relationship.rel_type not in wanted_types:
+                    continue
+                matches.append(relationship)
+            results.append(matches)
+        return results
+
+    def _own_relationships_by_node(self) -> Dict[int, List[int]]:
+        """Ids of the relationships this transaction created or updated,
+        by endpoint node."""
+        own: Dict[int, List[int]] = {}
+        for key, data in self._writes.items():
+            if key.kind is EntityKind.RELATIONSHIP and data is not None:
+                for node_id in {data.start_node, data.end_node}:
+                    own.setdefault(node_id, []).append(key.entity_id)
+        return own
 
     # ------------------------------------------------------------------
     # writes

@@ -1,5 +1,6 @@
 """Unit tests for the lock manager and deadlock detection."""
 
+import sys
 import threading
 import time
 
@@ -137,6 +138,38 @@ class TestLockManager:
         thread.join(timeout=5.0)
         locks.release_all(1)
         assert locks.stats.deadlocks >= 1
+
+    def test_released_short_read_leaves_no_stale_wait_edge(self):
+        """A writer waiting for a reader's short shared lock must not make
+        the reader's next wait look like a cycle: the reader released that
+        lock, and a read-only transaction can never close a deadlock."""
+        locks = LockManager(default_timeout=5.0)
+        reader, writer = 1, 2
+        locks.acquire(writer, NODE_B, LockMode.EXCLUSIVE)
+        granted = threading.Event()
+
+        def writer_takes_a_then_commits():
+            locks.acquire(writer, NODE_A, LockMode.EXCLUSIVE, timeout=5.0)
+            granted.set()
+            locks.release_all(writer)
+
+        interval = sys.getswitchinterval()
+        thread = threading.Thread(target=writer_takes_a_then_commits, daemon=True)
+        try:
+            with locks.shared_guard(reader, NODE_A):
+                thread.start()
+                time.sleep(0.1)  # the writer now waits for the reader
+                assert not granted.is_set()
+                # Keep the woken writer off the interpreter until the
+                # reader is waiting for B.
+                sys.setswitchinterval(1.0)
+            with locks.shared_guard(reader, NODE_B):
+                sys.setswitchinterval(interval)
+                assert granted.is_set()
+        finally:
+            sys.setswitchinterval(interval)
+        thread.join(timeout=5.0)
+        assert locks.stats.deadlocks == 0
 
     def test_stats_dictionary(self):
         locks = LockManager()
